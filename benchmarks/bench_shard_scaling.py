@@ -8,15 +8,11 @@ Three production questions, one bench:
    batched queries through S in {1, 2, 4, ...} and reports QPS and the p99
    per-batch latency.  Results are bit-identical to the unsharded index, so
    the only thing changing is where the work runs.
-2. **Do process-level shard workers turn sharding into multi-core
-   throughput?**  The thread backend only overlaps inside BLAS — everything
-   else serializes on the GIL.  The backend sweep runs the same query stream
-   through the thread backend and ``ProcessShardedIndex`` (worker processes
-   over a shared-memory vector store) at each worker count, plus an
-   ingest-while-serving mix (row updates + streaming adds interleaved with
-   searches).  Emitted as ``BENCH_process_shard_scaling.json`` with the host
-   core count — on a single-core host the process backend pays IPC without
-   gaining parallelism, so interpret `speedup` together with `cores`.
+2. **What does sharding cost under ingest?**  An ingest-while-serving mix
+   (row updates + streaming adds interleaved with searches) through the
+   sharded index reports serving QPS/p99 under the mix plus mutation
+   throughput.  The JSON records the host core count, so interpret the
+   speedups together with ``cores``.
 3. **Does periodic re-clustering repair a skewed IVF index?**  Streaming
    ``add`` assigns rows to frozen centroids, so a drifting stream piles rows
    into a few cells.  This part skews an ``IVFIndex`` with drifted adds, then
@@ -27,13 +23,7 @@ Run it directly (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py --num-rows 50000 --shards 1 2 4 8
-    PYTHONPATH=src python benchmarks/bench_shard_scaling.py --workers 1 2 4 8 --backends thread process
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py --smoke   # tiny CI configuration
-
-The acceptance bar for the process-worker PR: on a multi-core host the
-process backend's QPS grows with worker count past the thread backend's;
-single-core hosts document the IPC overhead instead (see `cores` in the
-JSON).
 """
 
 from __future__ import annotations
@@ -41,27 +31,13 @@ from __future__ import annotations
 import argparse
 import os
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.ann import BruteForceIndex, IVFIndex, ProcessShardedIndex, ShardedIndex
+from repro.ann import BruteForceIndex, IVFIndex, ShardedIndex
 
 from _bench_utils import emit_bench_json
-
-
-def _make_index(backend: str, num_workers: int):
-    if num_workers == 1:
-        return BruteForceIndex()
-    if backend == "process":
-        return ProcessShardedIndex(num_shards=num_workers)
-    return ShardedIndex(num_shards=num_workers, num_threads=num_workers)
-
-
-def _close(index) -> None:
-    closer = getattr(index, "close", None)
-    if closer is not None:
-        closer()
 
 
 def bench_shard_counts(
@@ -109,118 +85,50 @@ def bench_shard_counts(
     return rows
 
 
-def bench_backend_scaling(
-    num_rows: int,
-    dim: int,
-    batch_size: int,
-    num_batches: int,
-    k: int,
-    worker_counts: List[int],
-    backends: List[str],
-    seed: int = 11,
-) -> List[Dict]:
-    """QPS/p99 of the thread vs process shard backends at each worker count.
-
-    The unsharded brute-force baseline (one row, labeled ``"unsharded"``)
-    always runs first so every ``speedup`` is anchored to it — even when the
-    caller's ``--workers`` list omits 1; every other row is one
-    (backend, workers) combination over the identical query stream.
-    """
-
-    rng = np.random.default_rng(seed)
-    vectors = rng.normal(size=(num_rows, dim))
-    query_batches = [rng.normal(size=(batch_size, dim)) for _ in range(num_batches)]
-    total_queries = batch_size * num_batches
-
-    sweep: List[Tuple[str, int]] = [("unsharded", 1)]
-    for backend in backends:
-        sweep.extend((backend, workers) for workers in worker_counts if workers > 1)
-
-    rows: List[Dict] = []
-    baseline_qps = None
-    for backend, workers in sweep:
-        index = _make_index(backend, workers)
-        index.build(vectors)
-        index.search_batch(query_batches[0], k)  # warm up workers/BLAS
-        latencies_ms = []
-        start = time.perf_counter()
-        for batch in query_batches:
-            batch_start = time.perf_counter()
-            index.search_batch(batch, k)
-            latencies_ms.append((time.perf_counter() - batch_start) * 1000.0)
-        elapsed = time.perf_counter() - start
-        _close(index)
-        qps = total_queries / elapsed
-        if baseline_qps is None:
-            baseline_qps = qps
-        rows.append(
-            {
-                "backend": backend,
-                "workers": workers,
-                "qps": qps,
-                "p99_batch_ms": float(np.percentile(latencies_ms, 99)),
-                "speedup": qps / baseline_qps,
-            }
-        )
-    return rows
-
-
 def bench_ingest_mix(
     num_rows: int,
     dim: int,
     batch_size: int,
     num_batches: int,
     k: int,
-    workers: int,
-    backends: List[str],
+    num_shards: int,
     update_rows: int = 64,
     add_rows: int = 16,
     seed: int = 13,
-) -> List[Dict]:
+) -> Dict:
     """Ingest-while-serving: row updates + streaming adds interleaved with search.
 
     Every round replaces ``update_rows`` random rows, appends ``add_rows``
-    fresh ones (exercising the shared-memory growth/re-attach path on the
-    process backend), then answers one query batch — the mixed read/write
-    pattern a live server actually runs.  Reports serving QPS/p99 under the
-    mix plus the mutation throughput.
+    fresh ones, then answers one query batch — the mixed read/write pattern
+    a live server actually runs.  Reports serving QPS/p99 under the mix plus
+    the mutation throughput.
     """
 
     base_rng = np.random.default_rng(seed)
     vectors = base_rng.normal(size=(num_rows, dim))
     query_batches = [base_rng.normal(size=(batch_size, dim)) for _ in range(num_batches)]
-
-    rows: List[Dict] = []
-    for backend in backends:
-        # Fresh, identically seeded stream per backend: both backends must
-        # see the exact same mutation workload for the rows to be comparable.
-        rng = np.random.default_rng(seed + 1)
-        index = _make_index(backend, workers)
-        index.build(vectors)
-        index.search_batch(query_batches[0], k)  # warm up workers/BLAS
-        search_ms: List[float] = []
-        mutation_events = 0
-        start = time.perf_counter()
-        for round_number, batch in enumerate(query_batches):
-            positions = rng.integers(0, index.size, size=update_rows)
-            index.update_batch(positions, rng.normal(size=(update_rows, dim)))
-            index.add(rng.normal(size=(add_rows, dim)))
-            mutation_events += update_rows + add_rows
-            search_start = time.perf_counter()
-            index.search_batch(batch, k)
-            search_ms.append((time.perf_counter() - search_start) * 1000.0)
-        elapsed = time.perf_counter() - start
-        _close(index)
-        rows.append(
-            {
-                "backend": backend,
-                "workers": workers,
-                "qps_under_mix": batch_size * num_batches / elapsed,
-                "p99_search_ms": float(np.percentile(search_ms, 99)),
-                "mutations_per_s": mutation_events / elapsed,
-            }
-        )
-    return rows
+    rng = np.random.default_rng(seed + 1)  # the mutation stream
+    index = ShardedIndex(num_shards=num_shards, num_threads=num_shards).build(vectors)
+    index.search_batch(query_batches[0], k)  # warm up threads/BLAS
+    search_ms: List[float] = []
+    mutation_events = 0
+    start = time.perf_counter()
+    for batch in query_batches:
+        positions = rng.integers(0, index.size, size=update_rows)
+        index.update_batch(positions, rng.normal(size=(update_rows, dim)))
+        index.add(rng.normal(size=(add_rows, dim)))
+        mutation_events += update_rows + add_rows
+        search_start = time.perf_counter()
+        index.search_batch(batch, k)
+        search_ms.append((time.perf_counter() - search_start) * 1000.0)
+    elapsed = time.perf_counter() - start
+    index.close()
+    return {
+        "shards": num_shards,
+        "qps_under_mix": batch_size * num_batches / elapsed,
+        "p99_search_ms": float(np.percentile(search_ms, 99)),
+        "mutations_per_s": mutation_events / elapsed,
+    }
 
 
 def bench_retrain_recall(
@@ -279,30 +187,17 @@ def format_scaling(rows: List[Dict], num_rows: int, batch_size: int) -> str:
     return "\n".join(lines)
 
 
-def format_backend_scaling(rows: List[Dict], num_rows: int, batch_size: int) -> str:
-    header = f"{'backend':>10} {'workers':>8} {'QPS':>12} {'p99 batch (ms)':>16} {'speedup':>9}"
-    lines = [
-        f"backend scaling: N={num_rows}, batch={batch_size}, {os.cpu_count()} cores",
-        header,
-        "-" * len(header),
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['backend']:>10} {row['workers']:>8} {row['qps']:>12.0f} "
-            f"{row['p99_batch_ms']:>16.2f} {row['speedup']:>8.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def format_ingest_mix(rows: List[Dict]) -> str:
-    header = f"{'backend':>10} {'workers':>8} {'QPS (mix)':>12} {'p99 search (ms)':>17} {'mutations/s':>13}"
-    lines = ["ingest-while-serving mix:", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['backend']:>10} {row['workers']:>8} {row['qps_under_mix']:>12.0f} "
-            f"{row['p99_search_ms']:>17.2f} {row['mutations_per_s']:>13.0f}"
-        )
-    return "\n".join(lines)
+def format_ingest_mix(row: Dict) -> str:
+    header = f"{'shards':>7} {'QPS (mix)':>12} {'p99 search (ms)':>17} {'mutations/s':>13}"
+    return "\n".join(
+        [
+            "ingest-while-serving mix:",
+            header,
+            "-" * len(header),
+            f"{row['shards']:>7} {row['qps_under_mix']:>12.0f} "
+            f"{row['p99_search_ms']:>17.2f} {row['mutations_per_s']:>13.0f}",
+        ]
+    )
 
 
 def format_retrain(report: Dict) -> str:
@@ -328,18 +223,8 @@ def main() -> Dict:
         help="shard counts to sweep (1 = the unsharded brute-force baseline)",
     )
     parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4],
-        help="worker counts for the thread-vs-process backend sweep "
-             "(the unsharded baseline always runs, anchoring the speedups)",
-    )
-    parser.add_argument(
-        "--backends", nargs="+", default=["thread", "process"],
-        choices=["thread", "process"],
-        help="shard backends to compare in the backend sweep and ingest mix",
-    )
-    parser.add_argument(
         "--mix-workers", type=int, default=2,
-        help="worker count used by the ingest-while-serving mix",
+        help="shard count (one thread per shard) used by the ingest-while-serving mix",
     )
     parser.add_argument("--ivf-rows", type=int, default=4000)
     parser.add_argument("--num-cells", type=int, default=32)
@@ -357,7 +242,6 @@ def main() -> Dict:
     if args.smoke:
         args.num_rows, args.dim, args.batch, args.num_batches = 2000, 16, 64, 3
         args.shards, args.k = [1, 2], 20
-        args.workers = [1, 2]
         args.ivf_rows, args.num_cells = 600, 8
 
     scaling = bench_shard_counts(
@@ -365,15 +249,8 @@ def main() -> Dict:
     )
     print(format_scaling(scaling, args.num_rows, args.batch))
     print()
-    backend_scaling = bench_backend_scaling(
-        args.num_rows, args.dim, args.batch, args.num_batches, args.k,
-        args.workers, args.backends,
-    )
-    print(format_backend_scaling(backend_scaling, args.num_rows, args.batch))
-    print()
     ingest_mix = bench_ingest_mix(
-        args.num_rows, args.dim, args.batch, args.num_batches, args.k,
-        args.mix_workers, args.backends,
+        args.num_rows, args.dim, args.batch, args.num_batches, args.k, args.mix_workers
     )
     print(format_ingest_mix(ingest_mix))
     print()
@@ -381,15 +258,13 @@ def main() -> Dict:
         args.ivf_rows, args.dim, args.num_cells, args.n_probe, args.skew_factor
     )
     print(format_retrain(retrain))
-    report = {"scaling": scaling, "retrain": retrain}
-    emit_bench_json("shard_scaling", report)
-    process_report = {
+    report = {
         "cores": os.cpu_count(),
-        "backend_scaling": backend_scaling,
+        "scaling": scaling,
         "ingest_mix": ingest_mix,
+        "retrain": retrain,
     }
-    emit_bench_json("process_shard_scaling", process_report)
-    report["process"] = process_report
+    emit_bench_json("shard_scaling", report)
     return report
 
 

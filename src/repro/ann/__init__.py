@@ -9,19 +9,14 @@ import numpy as np
 from .brute_force import BruteForceIndex, top_k_rows
 from .ivf import DEFAULT_RETRAIN_THRESHOLD, IVFIndex, kmeans
 from .metrics import cosine_similarity, inner_product, normalize_rows, pairwise_similarity
-from .process_sharded import ProcessShardedIndex, ShardHealth
 from .sharded import SearchResults, ShardedIndex
-from .shm import SharedMatrix
 
 __all__ = [
     "NeighborIndex",
     "BruteForceIndex",
     "IVFIndex",
     "ShardedIndex",
-    "ProcessShardedIndex",
     "SearchResults",
-    "ShardHealth",
-    "SharedMatrix",
     "DEFAULT_RETRAIN_THRESHOLD",
     "kmeans",
     "top_k_rows",
@@ -87,7 +82,6 @@ _RESTORERS = {
     "brute_force": BruteForceIndex,
     "ivf": IVFIndex,
     "sharded": ShardedIndex,
-    "process_sharded": ProcessShardedIndex,
 }
 
 

@@ -51,10 +51,9 @@ def prepare_rows(vectors: np.ndarray, metric: str, dtype: np.dtype) -> np.ndarra
     """Cast rows to ``dtype`` and, for the cosine metric, L2-normalize them.
 
     The exact cast→normalize→cast sequence scored rows and queries go
-    through on every backend — the unsharded index, the thread shards and
-    the process shards' shared-memory store all call this one helper, so the
-    bit-identity contract between them cannot drift through a re-ordered
-    cast.
+    through — build, update, add and every query call this one helper, so
+    the bit-identity contract between sharded and unsharded search cannot
+    drift through a re-ordered cast.
     """
 
     vectors = np.asarray(vectors, dtype=dtype)

@@ -282,7 +282,7 @@ class LRUCache:
         """Return the stored value for ``key`` ignoring token freshness.
 
         The *stale-serve* escape hatch: when recomputation is impossible
-        (every shard worker down, a deadline blown), a possibly-outdated
+        (every shard down, a deadline blown), a possibly-outdated
         answer beats an empty one.  No recency bump and no stats churn — a
         peek is not a lookup, and serving stale is the caller's explicit,
         counted decision (see ``RealTimeServer.recommend``'s fallback chain),

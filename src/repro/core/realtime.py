@@ -114,17 +114,12 @@ class HealthReport:
     """One self-contained liveness snapshot of a serving stack.
 
     Produced by :meth:`RealTimeServer.health` — the signal a load balancer
-    or orchestrator polls.  ``healthy`` is the headline bit: True when every
-    shard worker is live (always True for unsharded/thread-backed stacks,
-    which have no workers to lose) *and* no shard has been tombstoned.  The
+    or orchestrator polls.  ``healthy`` is the headline bit; a serving stack
+    that answers ``health()`` is up, so it is always True today.  The
     counters are lifetime totals; poll twice and difference them for rates.
     """
 
     healthy: bool
-    #: per-shard liveness detail (empty for indexes without workers)
-    shards: List[object] = field(default_factory=list)
-    workers_alive: int = 0
-    restarts_total: int = 0
     #: index-level: searches answered from a strict subset of shards
     degraded_requests: int = 0
     #: server-level: recommends whose scoring ran degraded (not cached)
@@ -909,7 +904,7 @@ class RealTimeServer:
 
         The request degrades instead of failing.  The fallback chain:
 
-        1. **Full scoring** through the process/thread shard fan-out.  Under
+        1. **Full scoring** through the sharded index's fan-out.  Under
            ``failure_policy="degrade"`` a shard outage answers from the
            surviving shards — the list is served but *not cached* (counted in
            ``served_degraded``).
@@ -1061,10 +1056,10 @@ class RealTimeServer:
             try:
                 score_rows = self.sccf.score_items_batch(users, histories=histories)
             except RuntimeError:
-                # Scoring is a pure read — the failure is the index's (all
-                # shards down, raise-policy outage), already recorded in its
-                # supervision state; answer stale-or-empty rather than
-                # letting a read take the callers down with the worker.
+                # Scoring is a pure read — the failure is the index's (a
+                # raise-policy shard outage, a backend bug); answer
+                # stale-or-empty rather than letting a read take the
+                # callers down with it.
                 for i in pending:
                     self.recommend_failures += 1
                     if stales[i] is not MISS:
@@ -1115,17 +1110,9 @@ class RealTimeServer:
             self.deadline_misses += 1
 
     def health(self) -> HealthReport:
-        """Assemble the :class:`HealthReport` an orchestrator polls.
-
-        Pure observation plus one supervision pass on the process backend
-        (reading shard health drives pending restarts forward, so polling
-        health actively helps a wounded pool heal — deliberate: the poller
-        is exactly the component that exists during quiet periods).
-        """
+        """Assemble the :class:`HealthReport` an orchestrator polls (pure observation)."""
 
         index = self.sccf.neighborhood.index
-        shards = index.shard_health() if hasattr(index, "shard_health") else []
-        healthy = bool(getattr(index, "healthy", True))
         stats = self.sccf.cache_stats()
         scheduler = self.scheduler
         recommend_p50, recommend_p99 = _window_percentiles(self.recommend_latencies)
@@ -1139,10 +1126,7 @@ class RealTimeServer:
             last_error = scheduler.last_failure
         wal_stats = self.wal.stats() if self.wal is not None else None
         return HealthReport(
-            healthy=healthy,
-            shards=shards,
-            workers_alive=getattr(index, "workers_alive", 0),
-            restarts_total=getattr(index, "restarts_total", 0),
+            healthy=True,
             degraded_requests=getattr(index, "degraded_requests", 0),
             served_degraded=self.served_degraded,
             served_stale=self.served_stale,
@@ -1389,19 +1373,17 @@ class RealTimeServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the serving stack's workers (cascades through the SCCF).
+        """Release the serving stack's resources (cascades through the SCCF).
 
         The cascade — server → :meth:`SCCF.close` →
-        ``UserNeighborhoodComponent.close`` → ``index.close()`` — is what
-        tears down process-backend shard workers and their shared-memory
-        segments; with thread or plain indexes it is a cheap no-op.
-        Idempotent, and also invoked by the context-manager exit.
+        ``UserNeighborhoodComponent.close`` → ``index.close()`` — shuts down
+        a sharded index's thread pool; with plain indexes it is a cheap
+        no-op.  Idempotent, and also invoked by the context-manager exit.
 
         Closing tears down the *shared stack*, not just this server: when
         several servers serve one SCCF (a supported pattern — see the
         request-key serial), close once, after the last of them is done,
-        rather than per server.  On the process backend a premature close is
-        terminal for every sibling.
+        rather than per server.
 
         An attached journal is closed too (flushing any group-commit tail),
         even when the SCCF teardown raises.
@@ -1659,7 +1641,7 @@ class EventBuffer:
         """Drain the buffer through ``observe_batch``; ``None`` when empty.
 
         A failing flush (a contained maintenance failure propagating, a
-        worker outage under ``failure_policy="raise"``) puts the whole
+        shard failure under ``failure_policy="raise"``) puts the whole
         micro-batch back at the *front* of the buffer before re-raising, so
         a retrying caller loses nothing and later pushes keep their order.
         """

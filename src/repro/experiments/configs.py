@@ -162,21 +162,17 @@ def make_sccf(
     scale: ExperimentScale,
     num_neighbors: Optional[int] = None,
     num_shards: int = 1,
-    shard_backend: str = "thread",
     cache_capacity: int = 0,
     failure_policy: str = "raise",
 ) -> SCCF:
     """Wrap a UI model in the SCCF framework with the scale's settings.
 
     ``num_shards > 1`` serves the user-neighbor index through a scatter-gather
-    sharded index (same results, sharded load); ``shard_backend`` selects the
-    fan-out — ``"thread"`` (:class:`~repro.ann.sharded.ShardedIndex`) or
-    ``"process"`` (:class:`~repro.ann.process_sharded.ProcessShardedIndex`,
-    persistent worker processes over shared memory; close the stack when
-    done).  ``cache_capacity > 0`` attaches the versioned serving cache
+    sharded index (:class:`~repro.ann.sharded.ShardedIndex`; same results,
+    sharded load).  ``cache_capacity > 0`` attaches the versioned serving cache
     (:class:`~repro.core.cache.ServingCache`) so repeat-visitor requests are
     served without recomputation.  ``failure_policy="degrade"`` keeps the
-    sharded backends serving from surviving shards through worker outages
+    sharded index serving from the surviving shards when a shard fails
     instead of raising (degraded answers are never cached).
     """
 
@@ -186,7 +182,6 @@ def make_sccf(
         recency_window=15,
         merger_epochs=scale.merger_epochs,
         num_shards=num_shards,
-        shard_backend=shard_backend,
         failure_policy=failure_policy,
         cache_capacity=cache_capacity,
         seed=scale.seed,

@@ -170,7 +170,7 @@ class TestNeighborhoodSharding:
         )
         assert isinstance(component.index, IVFIndex)
 
-    def test_index_factory_supplies_shard_backends(self):
+    def test_index_factory_supplies_shard_indexes(self):
         component = UserNeighborhoodComponent(
             num_neighbors=5,
             num_shards=2,

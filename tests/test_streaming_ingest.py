@@ -143,7 +143,7 @@ class TestEventBuffer:
         assert server.history(user)[-2:] == [4, 5]
 
     def test_failed_flush_restores_events(self, tiny_dataset, trained_fism):
-        # A failing observe_batch (worker outage under failure_policy="raise",
+        # A failing observe_batch (shard failure under failure_policy="raise",
         # a propagating maintenance error) must put the micro-batch back so a
         # retrying caller loses nothing — the old code swapped the list out
         # first and silently dropped it.
