@@ -67,6 +67,10 @@ def top_k_rows(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Row-wise top-``k`` of a ``(Q, N)`` score matrix, -inf entries dropped.
 
+    ``ids`` labels the columns: one ``(N,)`` vector shared by every row, or a
+    ``(Q, N)`` matrix when each row scored its own candidates (the IVF scan's
+    padded layout).
+
     Returns one ``(ids, scores)`` pair per row, sorted by descending score.
     Ties are broken *deterministically* by ascending column (= index
     position): equal-score candidates appear in column order, and when the
@@ -85,10 +89,11 @@ def top_k_rows(
             (np.empty(0, dtype=np.int64), np.empty(0, dtype=scores.dtype))
             for _ in range(len(scores))
         ]
+    rows = np.arange(len(scores))[:, None]
     # argpartition selects *some* k best per row; sorting the selected columns
     # ascending fixes the tie order inside the selection.
     part = np.sort(np.argpartition(-scores, kth=k - 1, axis=1)[:, :k], axis=1)
-    part_scores = np.take_along_axis(scores, part, axis=1)
+    part_scores = scores[rows, part]
     # Boundary repair: when the k-th score also occurs outside the selection,
     # argpartition's choice among the tied columns is arbitrary — replace the
     # selected tied columns with the lowest tied columns of the whole row.
@@ -105,13 +110,13 @@ def top_k_rows(
         part[row] = chosen
         part_scores[row] = scores[row][chosen]
     order = np.argsort(-part_scores, axis=1, kind="stable")
-    top = np.take_along_axis(part, order, axis=1)
-    top_scores = np.take_along_axis(part_scores, order, axis=1)
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    for row in range(len(scores)):
-        valid = np.isfinite(top_scores[row])
-        results.append((ids[top[row][valid]], top_scores[row][valid]))
-    return results
+    top = part[rows, order]
+    top_scores = part_scores[rows, order]
+    top_ids = ids[top] if ids.ndim == 1 else ids[rows, top]
+    valid = np.isfinite(top_scores)
+    return [
+        (top_ids[row][valid[row]], top_scores[row][valid[row]]) for row in range(len(scores))
+    ]
 
 
 def apply_exclusions(

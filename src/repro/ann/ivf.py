@@ -15,8 +15,11 @@ Performance notes mirroring the production systems this models:
 * cells are stored as sets, so :meth:`update` moves a vector between cells in
   O(1) instead of an ``O(cell size)`` ``list.remove`` scan;
 * index rows are L2-normalized once at build time (float32 by default) and
-  :meth:`search_batch` groups queries that probe the same cells into shared
-  sub-matrix products.
+  :meth:`search_batch` scans once per probed *cell*: every query probing a
+  cell shares one ``(Q_cell × D)·(D × cell size)`` product, so a batch costs
+  at most ``num_cells`` GEMMs however its probe sets overlap, and the
+  per-cell scores land in one padded ``(Q × probed width)`` matrix ranked by
+  a single :func:`~repro.ann.brute_force.top_k_rows` call.
 """
 
 from __future__ import annotations
@@ -416,11 +419,18 @@ class IVFIndex:
         k: int,
         exclude_per_query: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched probe-and-scan: queries probing the same cells share one matmul.
+        """Batched probe-and-scan: one matmul per probed cell, one padded rank.
 
-        Centroid assignment for all queries is a single distance matrix; the
-        per-cell-set groups then each score their candidates with one
-        ``(Q_group × D)·(D × candidates)`` product.
+        Centroid assignment for all queries is a single distance matrix.  Each
+        query's row of the padded ``(Q × W)`` score matrix lays out its probed
+        cells in ascending cell id, members in ascending position — the
+        candidate order a one-query scan sees, so :func:`top_k_rows` breaks
+        ties identically for any batch — and ``W`` is the widest query's
+        candidate count; shorter rows are padded with ``-inf``.  Every cell
+        probed by any query is scored once, by one
+        ``(Q_cell × D)·(D × cell size)`` product, and one scatter places all
+        products into their queries' column ranges.  When every query probes
+        the same cells the matrix has no padding and is scored by one product.
         """
 
         if self._vectors is None:
@@ -436,30 +446,75 @@ class IVFIndex:
             raise ValueError("exclude_per_query must have one entry per query")
 
         centroid_distances = _squared_distances(queries, self._centroids)
-        n_probe = min(self.n_probe, centroid_distances.shape[1])
+        num_queries, num_centroids = centroid_distances.shape
+        n_probe = min(self.n_probe, num_centroids)
         probe = np.argpartition(centroid_distances, kth=n_probe - 1, axis=1)[:, :n_probe]
-
+        probe.sort(axis=1)
         normalized_queries = normalize_rows(queries).astype(self.dtype, copy=False)
-        results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(queries)
+        if num_queries == 1 or not (probe != probe[0]).any():
+            # Every query probes the same cells (always so for one query):
+            # the padded layout has no padding and one shared id row.
+            members = np.concatenate([self._cell_positions(cell) for cell in probe[0].tolist()])
+            ids = self._ids[members]
+            scores = normalized_queries @ self._normalized[members].T
+            apply_exclusions(scores, ids, exclude_per_query)
+            return top_k_rows(scores, k, ids)
 
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for row in range(len(queries)):
-            key = tuple(sorted(int(cell) for cell in probe[row]))
-            groups.setdefault(key, []).append(row)
+        # Padded layout: a query's row holds its probed cells in ascending
+        # cell id, each cell's members in ascending position.
+        probed, pairs_per_cell = np.unique(probe, return_counts=True)
+        members_of = [self._cell_positions(cell) for cell in probed.tolist()]
+        cell_sizes = np.fromiter(map(len, members_of), dtype=np.int64, count=len(probed))
+        sizes = np.zeros(num_centroids, dtype=np.int64)
+        sizes[probed] = cell_sizes
+        widths = sizes[probe]
+        offsets = np.cumsum(widths, axis=1) - widths
+        width = int(widths.sum(axis=1).max())
+        # (query, cell) pairs sorted by cell, then query: the order in which
+        # the per-cell products below emit their scores.
+        order = np.argsort(probe.ravel(), kind="stable")
+        pair_rows = order // n_probe
+        pair_sizes = widths.ravel()[order]
+        member_starts = np.cumsum(cell_sizes) - cell_sizes
+        pair_sources = np.repeat(member_starts, pairs_per_cell)
+        pair_targets = pair_rows * width + offsets.ravel()[order]
+        within = np.arange(int(pair_sizes.sum())) - np.repeat(
+            np.cumsum(pair_sizes) - pair_sizes, pair_sizes
+        )
+        targets = np.repeat(pair_targets, pair_sizes) + within
+        members = np.concatenate(members_of)
+        candidates = self._normalized[members]
+        # One GEMM per probed cell, over every query probing it.
+        pair_bounds = np.cumsum(pairs_per_cell) - pairs_per_cell
+        blocks = [
+            (
+                normalized_queries[pair_rows[first:first + count]]
+                @ candidates[start:start + size].T
+            ).ravel()
+            for first, count, start, size in zip(
+                pair_bounds.tolist(), pairs_per_cell.tolist(),
+                member_starts.tolist(), cell_sizes.tolist(),
+            )
+        ]
+        scores = np.full((num_queries, width), -np.inf, dtype=self.dtype)
+        ids = np.full((num_queries, width), -1, dtype=np.int64)
+        scores.reshape(-1)[targets] = np.concatenate(blocks)
+        ids.reshape(-1)[targets] = self._ids[members[np.repeat(pair_sources, pair_sizes) + within]]
+        if exclude_per_query is not None:
+            _exclude_ids(scores, ids, exclude_per_query)
+        return top_k_rows(scores, k, ids)
 
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=self.dtype))
-        for key, rows in groups.items():
-            candidate_positions = np.concatenate([self._cell_positions(cell) for cell in key])
-            if not len(candidate_positions):
-                for row in rows:
-                    results[row] = empty
-                continue
-            candidate_ids = self._ids[candidate_positions]
-            scores = normalized_queries[rows] @ self._normalized[candidate_positions].T
-            if exclude_per_query is not None:
-                apply_exclusions(
-                    scores, candidate_ids, [exclude_per_query[row] for row in rows]
-                )
-            for row, result in zip(rows, top_k_rows(scores, k, candidate_ids)):
-                results[row] = result
-        return results
+
+def _exclude_ids(
+    scores: np.ndarray, ids: np.ndarray, exclude_per_query: Sequence[Optional[np.ndarray]]
+) -> None:
+    """Mask each query's excluded ids to -inf in a padded per-row id matrix (in place)."""
+
+    lists = [exclude for exclude in exclude_per_query if exclude is not None]
+    if not lists:
+        return
+    lengths = [0 if exclude is None else len(exclude) for exclude in exclude_per_query]
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    excluded = np.concatenate(lists).astype(np.int64, copy=False)
+    hits, columns = np.nonzero(ids[rows] == excluded[:, None])
+    scores[rows[hits], columns] = -np.inf

@@ -18,14 +18,14 @@ not appear in either candidate list are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import nn
 from ..nn import functional as F
 
-__all__ = ["CandidateFeatures", "IntegratingMLP", "normalize_scores"]
+__all__ = ["CandidateFeatures", "IntegratingMLP", "normalize_score_rows", "normalize_scores"]
 
 _EPS = 1e-8
 
@@ -38,21 +38,62 @@ def normalize_scores(scores: np.ndarray) -> np.ndarray:
     """
 
     scores = np.asarray(scores, dtype=np.float64)
-    std = scores.std()
-    if std < _EPS:
-        return np.zeros_like(scores)
-    return (scores - scores.mean()) / std
+    return normalize_score_rows(scores[None, :], np.ones((1, len(scores)), dtype=bool))[0]
+
+
+def normalize_score_rows(scores: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """:func:`normalize_scores` per row of a padded ``(B, C)`` matrix.
+
+    Mean and standard deviation are taken over each row's ``valid`` entries
+    only; invalid entries come out as zeros.
+    """
+
+    counts = np.maximum(valid.sum(axis=1, keepdims=True), 1)
+    mean = np.where(valid, scores, 0.0).sum(axis=1, keepdims=True) / counts
+    centered = np.where(valid, scores - mean, 0.0)
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / counts)
+    constant = std < _EPS
+    return np.where(constant, 0.0, centered / np.where(constant, 1.0, std))
 
 
 @dataclass
 class CandidateFeatures:
-    """Features of one user's candidate set, ready for the integrating MLP."""
+    """Features of the candidate sets of one user or a window of users.
 
-    user_id: int
+    Candidates are stored flat, window row by window row: candidate ``j`` is
+    item ``candidate_items[j]`` of the user in window row ``rows[j]`` (all
+    zeros for a single user), described by feature row ``features[j]``.
+    """
+
+    user_ids: np.ndarray              # (B,)
+    rows: np.ndarray                  # (C,) window row of each candidate
     candidate_items: np.ndarray       # (C,)
     features: np.ndarray              # (C, 2d + 2)
     ui_scores: np.ndarray             # raw r^UI over the candidates
     uu_scores: np.ndarray             # raw r^UU over the candidates
+
+    def split(self) -> List[Optional["CandidateFeatures"]]:
+        """One single-user view per window row (``None`` for rows without candidates)."""
+
+        counts = np.bincount(self.rows, minlength=len(self.user_ids)).tolist()
+        ends = np.cumsum(counts).tolist()
+        parts: List[Optional[CandidateFeatures]] = []
+        for row, (count, end) in enumerate(zip(counts, ends)):
+            if not count:
+                parts.append(None)
+                continue
+            part = slice(end - count, end)
+            parts.append(
+                CandidateFeatures(
+                    user_ids=self.user_ids[row:row + 1],
+                    rows=np.zeros(count, dtype=np.int64),
+                    candidate_items=self.candidate_items[part],
+                    features=self.features[part],
+                    ui_scores=self.ui_scores[part],
+                    uu_scores=self.uu_scores[part],
+                )
+            )
+        return parts
 
 
 class IntegratingMLP:
@@ -156,34 +197,60 @@ class IntegratingMLP:
     # ------------------------------------------------------------------ #
     def build_features(
         self,
-        user_id: int,
+        user_id: Union[int, Sequence[int]],
         user_embedding: np.ndarray,
         item_embeddings: np.ndarray,
         candidate_items: np.ndarray,
         ui_scores: np.ndarray,
         uu_scores: np.ndarray,
+        valid: Optional[np.ndarray] = None,
     ) -> CandidateFeatures:
-        """Assemble ``[m_u ⊕ q_i ⊕ r̃^UI ⊕ r̃^UU]`` for one user's candidates."""
+        """Assemble ``[m_u ⊕ q_i ⊕ r̃^UI ⊕ r̃^UU]`` for one user or a whole window.
+
+        One user: an int ``user_id``, a ``(d,)`` embedding, a non-empty
+        ``(C,)`` candidate list and ``(num_items,)`` score rows.  A window: B
+        ids, ``(B, d)`` embeddings, a padded ``(B, C)`` candidate matrix whose
+        ``valid`` mask (default: all valid) marks the real candidates, and
+        ``(B, num_items)`` score matrices.  The preference scores are
+        standardized per row over its valid candidates (eq. 16).
+        """
 
         candidate_items = np.asarray(candidate_items, dtype=np.int64)
-        if candidate_items.ndim != 1 or len(candidate_items) == 0:
-            raise ValueError("candidate_items must be a non-empty 1-d array")
-        ui_candidate = np.asarray(ui_scores, dtype=np.float64)[candidate_items]
-        uu_candidate = np.asarray(uu_scores, dtype=np.float64)[candidate_items]
-        ui_norm = normalize_scores(ui_candidate)
-        uu_norm = normalize_scores(uu_candidate)
+        if candidate_items.ndim == 1:
+            if not len(candidate_items):
+                raise ValueError("candidate_items must be a non-empty 1-d array")
+            user_id = [user_id]
+            user_embedding = np.asarray(user_embedding)[None, :]
+            candidate_items = candidate_items[None, :]
+            ui_scores = np.asarray(ui_scores)[None, :]
+            uu_scores = np.asarray(uu_scores)[None, :]
+        elif candidate_items.ndim != 2:
+            raise ValueError("candidate_items must be 1-d (one user) or 2-d (a window)")
+        if valid is None:
+            valid = np.ones(candidate_items.shape, dtype=bool)
+        window_rows = np.arange(len(candidate_items))[:, None]
+        safe_items = np.where(valid, candidate_items, 0)
+        ui_candidate = np.asarray(ui_scores, dtype=np.float64)[window_rows, safe_items]
+        uu_candidate = np.asarray(uu_scores, dtype=np.float64)[window_rows, safe_items]
+        ui_norm = normalize_score_rows(ui_candidate, valid)
+        uu_norm = normalize_score_rows(uu_candidate, valid)
 
-        user_block = np.tile(np.asarray(user_embedding, dtype=np.float64), (len(candidate_items), 1))
-        item_block = np.asarray(item_embeddings, dtype=np.float64)[candidate_items]
-        features = np.concatenate(
-            [user_block, item_block, ui_norm[:, None], uu_norm[:, None]], axis=1
-        )
+        rows, columns = np.nonzero(valid)
+        items = candidate_items[rows, columns]
+        user_block = np.asarray(user_embedding, dtype=np.float64)[rows]
+        item_block = np.asarray(item_embeddings, dtype=np.float64)[items]
+        features = np.empty((len(rows), user_block.shape[1] + item_block.shape[1] + 2))
+        features[:, :user_block.shape[1]] = user_block
+        features[:, user_block.shape[1]:-2] = item_block
+        features[:, -2] = ui_norm[rows, columns]
+        features[:, -1] = uu_norm[rows, columns]
         return CandidateFeatures(
-            user_id=user_id,
-            candidate_items=candidate_items,
+            user_ids=np.asarray(user_id, dtype=np.int64),
+            rows=rows,
+            candidate_items=items,
             features=features,
-            ui_scores=ui_candidate,
-            uu_scores=uu_candidate,
+            ui_scores=ui_candidate[rows, columns],
+            uu_scores=uu_candidate[rows, columns],
         )
 
     # ------------------------------------------------------------------ #
@@ -410,9 +477,9 @@ class IntegratingMLP:
             if kind == "linear":
                 x = x @ weight
                 if bias is not None:
-                    x = x + bias
+                    x += bias  # in place: a window's activations are megabytes
             elif kind == "relu":
-                x = np.maximum(x, 0.0)
+                x = np.maximum(x, 0.0, out=x if x is not features else None)
             elif kind == "sigmoid":
                 # Mirror Tensor.sigmoid exactly, including its overflow clip.
                 x = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
@@ -501,7 +568,9 @@ class IntegratingMLP:
         return merger
 
     def predict(self, features: CandidateFeatures) -> np.ndarray:
-        """Fused scores ``r̂^fi`` for one user's candidate items (same order).
+        """Fused scores ``r̂^fi`` for every candidate of ``features`` (same order).
+
+        One forward pass covers a whole window's candidates.
 
         Serves through the frozen NumPy fast path (building it lazily on the
         first call); falls back to the differentiable tensor forward only

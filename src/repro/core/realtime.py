@@ -58,7 +58,7 @@ import numpy as np
 
 from ..ann import DEFAULT_RETRAIN_THRESHOLD, search_batch
 from ..data.datasets import RecDataset
-from ..models.base import exclude_seen_items
+from ..models.base import history_coordinates
 from .cache import MISS
 from .sccf import _NEG_INF, SCCF
 from .snapshot import read_snapshot, write_snapshot
@@ -955,21 +955,59 @@ class RealTimeServer:
             start=now if request.start is None else request.start,
         )
 
-    def _top_items(self, scores: np.ndarray, k: int) -> List[int]:
-        """Rank one masked score row into a finite top-``k`` id list.
+    def _rank_rows(self, scores: np.ndarray, k: int) -> List[List[int]]:
+        """Rank masked ``(G, width)`` score rows into finite top-``k`` id lists.
 
-        ``top_k`` is clamped to the row length as well as the catalog size:
-        a server built over zero items, or an empty degraded score row,
-        yields ``[]`` here instead of crashing ``np.argpartition`` with
-        ``kth=-1``.
+        One row-wise ``argpartition`` selects each row's top ``k``, a stable
+        sort orders them by descending score, and non-finite entries are
+        dropped.  ``k`` is clamped to the row width as well as the catalog
+        size: a server built over zero items, or an empty degraded score row,
+        yields ``[]`` instead of crashing ``np.argpartition`` with ``kth=-1``.
         """
 
-        top_k = min(k, self.num_items, int(scores.size))
+        top_k = min(k, self.num_items, scores.shape[1])
         if top_k <= 0:
-            return []
-        top = np.argpartition(-scores, kth=top_k - 1)[:top_k]
-        ordered = top[np.argsort(-scores[top], kind="stable")]
-        return [int(item) for item in ordered if np.isfinite(scores[item])]
+            return [[] for _ in range(len(scores))]
+        rows = np.arange(len(scores))[:, None]
+        top = np.argpartition(-scores, kth=top_k - 1, axis=1)[:, :top_k]
+        top_scores = scores[rows, top]
+        order = np.argsort(-top_scores, axis=1, kind="stable")
+        top = top[rows, order]
+        finite = np.isfinite(top_scores[rows, order])
+        return [items[keep].tolist() for items, keep in zip(top, finite)]
+
+    def _rank_requests(
+        self,
+        score_rows: np.ndarray,
+        row_of_user: Dict[int, int],
+        requests: Sequence[Tuple[int, int, bool]],
+    ) -> List[List[int]]:
+        """Top-``k`` lists for distinct ``(user, k, exclude_seen)`` requests.
+
+        Masks the whole window at once — the finite ``_NEG_INF`` sentinel of
+        "sccf"-mode non-candidates and, where asked, each user's seen items
+        become ``-inf`` so they can never pad a list — then ranks every
+        request sharing a ``k`` with one :meth:`_rank_rows` call.
+        """
+
+        scores = score_rows[[row_of_user[user] for user, _, _ in requests]]
+        scores[~(scores > _NEG_INF)] = -np.inf
+        seen_rows, seen_items = history_coordinates(
+            [
+                self._states.get(user, _UserState()).history if exclude_seen else ()
+                for user, _, exclude_seen in requests
+            ]
+        )
+        scores[seen_rows, seen_items] = -np.inf
+        ranked: List[List[int]] = [[] for _ in requests]
+        by_k: Dict[int, List[int]] = {}
+        for position, (_, k, _) in enumerate(requests):
+            by_k.setdefault(k, []).append(position)
+        for k, positions in by_k.items():
+            block = scores if len(positions) == len(requests) else scores[positions]
+            for position, items in zip(positions, self._rank_rows(block, k)):
+                ranked[position] = items
+        return ranked
 
     def recommend_batch(self, requests: Sequence[RecommendRequest]) -> List[List[int]]:
         """Serve a window of recommend requests through one batched scoring pass.
@@ -1074,24 +1112,17 @@ class RealTimeServer:
                 # share the list — the sequential loop's later duplicates
                 # would have recomputed the identical ranking (or read it
                 # back from the cache), so the outputs cannot differ.
-                ranked: Dict[Tuple[int, int, bool], List[int]] = {}
+                groups: Dict[Tuple[int, int, bool], int] = {}
                 for i in pending:
                     req = prepared[i]
-                    group = (req.user_id, req.k, req.exclude_seen)
-                    result = ranked.get(group)
-                    if result is None:
-                        # In "sccf" mode non-candidates carry the finite
-                        # _NEG_INF sentinel; mask them to -inf so they can
-                        # never pad the result list.
-                        scores = score_rows[rows[req.user_id]]
-                        scores = np.where(scores > _NEG_INF, scores, -np.inf)
-                        if req.exclude_seen:
-                            history = self._states.get(req.user_id, _UserState()).history
-                            scores = exclude_seen_items(scores, history)
-                        result = self._top_items(scores, req.k)
-                        ranked[group] = result
-                    else:
-                        result = list(result)
+                    groups.setdefault((req.user_id, req.k, req.exclude_seen), len(groups))
+                ranked = self._rank_requests(score_rows, rows, list(groups))
+                first = [True] * len(groups)
+                for i in pending:
+                    req = prepared[i]
+                    group = groups[(req.user_id, req.k, req.exclude_seen)]
+                    result = ranked[group] if first[group] else list(ranked[group])
+                    first[group] = False
                     if degraded:
                         # A survivors-only list is fine to serve once but
                         # must not be memoized: the token counters don't move

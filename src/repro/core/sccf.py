@@ -29,7 +29,7 @@ import numpy as np
 
 from ..ann import NeighborIndex
 from ..data.datasets import RecDataset
-from ..models.base import InductiveUIModel, Recommender, exclude_seen_items
+from ..models.base import InductiveUIModel, Recommender, exclude_seen_items, exclude_seen_rows
 from .cache import CacheStats, ServingCache, history_fingerprint, serve_batch
 from .merger import CandidateFeatures, IntegratingMLP
 from .user_neighborhood import UserNeighborhoodComponent
@@ -37,6 +37,9 @@ from .user_neighborhood import UserNeighborhoodComponent
 __all__ = ["SCCFConfig", "SCCF"]
 
 _NEG_INF = -1e12
+
+#: users per candidate build when collecting the merger's training examples
+_FIT_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,9 @@ class SCCF(Recommender):
 
         Per Section IV-A4: "To train the integrating model, we utilize each
         user's item just before the last as the training label" — i.e. the
-        validation item, predicted from the training-only history.
+        validation item, predicted from the training-only history.  Examples
+        come from the serving path's candidate build, run over windows of
+        ``_FIT_WINDOW`` users so the padded intermediates stay small.
         """
 
         users: List[int] = []
@@ -172,14 +177,20 @@ class SCCF(Recommender):
             users.append(user)
             targets.append(target)
             histories.append(list(history))
-        features_batch = self._candidate_features_batch(
-            users, histories, item_embeddings=self.ui_model.item_embeddings()
-        )
-        examples: List[Tuple[CandidateFeatures, int]] = [
-            (features, target)
-            for features, target in zip(features_batch, targets)
-            if features is not None
-        ]
+        item_embeddings = self.ui_model.item_embeddings()
+        examples: List[Tuple[CandidateFeatures, int]] = []
+        for start in range(0, len(users), _FIT_WINDOW):
+            window = slice(start, start + _FIT_WINDOW)
+            features = self._candidate_features_batch(
+                users[window], histories[window], item_embeddings=item_embeddings
+            )
+            if features is None:
+                continue
+            examples.extend(
+                (user_features, target)
+                for user_features, target in zip(features.split(), targets[window])
+                if user_features is not None
+            )
         self.merger.fit(examples)
 
     # ------------------------------------------------------------------ #
@@ -191,10 +202,9 @@ class SCCF(Recommender):
         history: Sequence[int],
         item_embeddings: Optional[np.ndarray] = None,
     ) -> Optional[CandidateFeatures]:
-        features = self._candidate_features_batch(
+        return self._candidate_features_batch(
             [user_id], [list(history)], item_embeddings=item_embeddings
         )
-        return features[0]
 
     def _candidate_features_batch(
         self,
@@ -202,13 +212,15 @@ class SCCF(Recommender):
         histories: Sequence[Sequence[int]],
         item_embeddings: Optional[np.ndarray] = None,
         user_embeddings: Optional[np.ndarray] = None,
-    ) -> List[Optional[CandidateFeatures]]:
-        """Candidate construction for a batch of users.
+    ) -> Optional[CandidateFeatures]:
+        """Candidate construction (eqs. 14 and 16) for a window of users.
 
-        UI scores come from one ``(B×d)·(d×num_items)`` matmul and UU scores
-        from one batched neighborhood query; only the per-user candidate merge
-        and feature assembly stay row-wise.  Entries are ``None`` for users
-        whose merged candidate set is empty.
+        UI scores come from one ``(B×d)·(d×num_items)`` matmul, UU scores from
+        one :meth:`UserNeighborhoodComponent.score_for_users` call, the eq. 14
+        union from :meth:`_merge_candidates_batch` as a padded candidate
+        matrix with a validity mask, and the eq. 16 features of every valid
+        candidate from one ``build_features`` call.  ``None`` when no user of
+        the window has a candidate.
         """
 
         if item_embeddings is None:
@@ -219,24 +231,18 @@ class SCCF(Recommender):
         uu_matrix = self.neighborhood.score_for_users(
             user_ids, user_embeddings=user_embeddings, histories=histories
         )
-
-        features: List[Optional[CandidateFeatures]] = []
-        for row, user in enumerate(user_ids):
-            candidates = self._merge_candidates(ui_matrix[row], uu_matrix[row], histories[row])
-            if len(candidates) == 0:
-                features.append(None)
-                continue
-            features.append(
-                self.merger.build_features(
-                    user_id=user,
-                    user_embedding=user_embeddings[row],
-                    item_embeddings=item_embeddings,
-                    candidate_items=candidates,
-                    ui_scores=ui_matrix[row],
-                    uu_scores=uu_matrix[row],
-                )
-            )
-        return features
+        candidates, valid = self._merge_candidates_batch(ui_matrix, uu_matrix, histories)
+        if not valid.any():
+            return None
+        return self.merger.build_features(
+            user_id=user_ids,
+            user_embedding=user_embeddings,
+            item_embeddings=item_embeddings,
+            candidate_items=candidates,
+            ui_scores=ui_matrix,
+            uu_scores=uu_matrix,
+            valid=valid,
+        )
 
     def _merge_candidates(
         self,
@@ -244,31 +250,68 @@ class SCCF(Recommender):
         uu_scores: np.ndarray,
         history: Sequence[int],
     ) -> np.ndarray:
-        """C^u_I = C^u_UI ∪ C^u_UU (eq. 14), excluding already-seen items.
+        """One user's eq. 14 union: :meth:`_merge_candidates_batch` for a batch of one."""
 
-        The union is an unsorted dedup through a boolean membership table —
-        O(N + k) and no sort, unlike ``np.union1d`` — keeping UI candidates
-        first, then the UU candidates not already present.
+        candidates, valid = self._merge_candidates_batch(
+            np.asarray(ui_scores)[None, :], np.asarray(uu_scores)[None, :], [history]
+        )
+        return candidates[0][valid[0]]
+
+    def _merge_candidates_batch(
+        self,
+        ui_matrix: np.ndarray,
+        uu_matrix: np.ndarray,
+        histories: Sequence[Sequence[int]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """C^u_I = C^u_UI ∪ C^u_UU (eq. 14) for a window, excluding seen items.
+
+        Returns a padded ``(B, 2N)`` candidate-id matrix and its validity
+        mask.  Columns ``[0, N)`` hold each row's UI top-N, ``[N, 2N)`` its UU
+        top-N; masked out are non-finite scores, non-positive UU votes and UU
+        candidates already in the row's UI list.  A row's valid ids, in
+        column order, are its union: UI candidates first, then the UU
+        candidates not already present.
         """
 
         size = min(self.config.candidate_list_size, self.num_items)
-        ui_masked = exclude_seen_items(ui_scores, history)
-        uu_masked = exclude_seen_items(uu_scores, history)
-        ui_top = self._top_k(ui_masked, size)
-        uu_top = self._top_k(uu_masked, size, positive_only=True)
-        fresh = np.isin(uu_top, ui_top, assume_unique=True, invert=True)
-        return np.concatenate([ui_top, uu_top[fresh]]).astype(np.int64)
+        ui_top, ui_valid = self._top_k_rows(exclude_seen_rows(ui_matrix, histories), size)
+        uu_top, uu_valid = self._top_k_rows(
+            exclude_seen_rows(uu_matrix, histories), size, positive_only=True
+        )
+        in_ui = np.zeros(ui_matrix.shape, dtype=bool)
+        in_ui[np.nonzero(ui_valid)[0], ui_top[ui_valid]] = True
+        uu_valid &= ~in_ui[np.arange(len(uu_top))[:, None], uu_top]
+        return (
+            np.concatenate([ui_top, uu_top], axis=1),
+            np.concatenate([ui_valid, uu_valid], axis=1),
+        )
 
     @staticmethod
     def _top_k(scores: np.ndarray, k: int, positive_only: bool = False) -> np.ndarray:
-        k = min(k, len(scores))
+        """One score row's top-``k`` ids (unordered): :meth:`_top_k_rows` for one row."""
+
+        top, valid = SCCF._top_k_rows(np.asarray(scores)[None, :], k, positive_only)
+        return top[0][valid[0]]
+
+    @staticmethod
+    def _top_k_rows(
+        scores: np.ndarray, k: int, positive_only: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-wise top-``k`` columns (unordered) and which of them are usable.
+
+        Usable means a finite score — and a positive one with
+        ``positive_only``.
+        """
+
+        k = min(k, scores.shape[1])
         if k == 0:
-            return np.empty(0, dtype=np.int64)
-        top = np.argpartition(-scores, kth=k - 1)[:k]
-        top = top[np.isfinite(scores[top])]
+            return np.empty((len(scores), 0), dtype=np.int64), np.empty((len(scores), 0), dtype=bool)
+        top = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
+        top_scores = scores[np.arange(len(scores))[:, None], top]
+        valid = np.isfinite(top_scores)
         if positive_only:
-            top = top[scores[top] > 0]
-        return top.astype(np.int64)
+            valid &= top_scores > 0
+        return top.astype(np.int64, copy=False), valid
 
     # ------------------------------------------------------------------ #
     # scoring
@@ -294,9 +337,10 @@ class SCCF(Recommender):
         """Score the catalog for many users at once; returns ``(B, num_items)``.
 
         All three Table II modes are batched: ``"ui"`` is one scoring matmul,
-        ``"uu"`` one batched neighborhood query, and ``"sccf"`` runs batched
-        candidate construction with only the per-user merger forward left
-        row-wise.
+        ``"uu"`` one batched neighborhood query, and ``"sccf"`` builds the
+        whole window's candidates as one padded matrix, runs one merger
+        forward over every valid candidate and scatters the fused scores into
+        the ``(B, num_items)`` result.
         """
 
         self._require_fitted()
@@ -399,6 +443,8 @@ class SCCF(Recommender):
         (through the embeddings layer) only for the rows that need them.
         """
 
+        if not len(user_ids):
+            return np.empty((0, self.num_items), dtype=np.float64)
         item_embeddings = self.ui_model.item_embeddings()
         epoch = getattr(self.neighborhood.index, "epoch", None)
         cache_layer = self.cache.scores if self.cache is not None and epoch is not None else None
@@ -409,22 +455,26 @@ class SCCF(Recommender):
                 keys[row] = (int(user), history_fingerprint(history))
                 tokens[row] = self._serving_token(user, epoch)
 
-        def compute(missing: List[int]) -> List[np.ndarray]:
+        def fused(missing: Sequence[int]) -> np.ndarray:
             missing_users = [user_ids[row] for row in missing]
             missing_histories = [resolved[row] for row in missing]
-            features_batch = self._candidate_features_batch(
+            features = self._candidate_features_batch(
                 missing_users,
                 missing_histories,
                 item_embeddings=item_embeddings,
                 user_embeddings=self._batch_user_embeddings(missing_users, missing_histories),
             )
-            fresh: List[np.ndarray] = []
-            for features in features_batch:
-                row = np.full(self.num_items, _NEG_INF, dtype=np.float64)
-                if features is not None:
-                    row[features.candidate_items] = self.merger.predict(features)
-                fresh.append(row)
-            return fresh
+            scores = np.full((len(missing), self.num_items), _NEG_INF, dtype=np.float64)
+            if features is not None:
+                scores[features.rows, features.candidate_items] = self.merger.predict(features)
+            return scores
+
+        if cache_layer is None:
+            return fused(range(len(user_ids)))
+
+        def compute(missing: List[int]) -> List[np.ndarray]:
+            # copy(): a cached view would pin the whole window's matrix
+            return [row.copy() for row in fused(missing)]
 
         # Rows computed while the neighbor index was serving degraded (some
         # shard down) are valid to *serve* but must never be memoized: the
@@ -436,7 +486,7 @@ class SCCF(Recommender):
         )
         rows = serve_batch(cache_layer, keys, tokens, compute, cacheable=cacheable)
         # stack() copies, so cached rows stay private to the cache.
-        return np.stack(rows) if rows else np.empty((0, self.num_items), dtype=np.float64)
+        return np.stack(rows)
 
     def candidate_lists(
         self, user_id: int, history: Optional[Sequence[int]] = None

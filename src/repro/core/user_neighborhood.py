@@ -18,11 +18,11 @@ model's embeddings, which is what makes it a drop-in, real-time plugin.
 
 Implementation: the recent-items table is kept both as per-user lists (the
 mutable source of truth for real-time updates) and as a CSR-style pair of
-``(indptr, indices)`` arrays over users.  Eq. 12 then reduces to one gather
-plus one ``bincount`` — a sparse-matrix/dense-vector product — instead of a
-Python double loop over neighbors × recent items, and
-:meth:`score_for_users` amortizes neighborhood identification across a whole
-batch of users through the index's ``search_batch``.
+``(indptr, indices)`` arrays over users, with real-time updates overlaid on
+it.  :meth:`score_for_users` identifies a whole window's neighborhoods with
+one ``search_batch`` call, and eq. 12 for the window is one flat gather of
+every neighbor's recent items plus one ``bincount`` over
+``row · num_items + item`` — a sparse-matrix product with no per-user loop.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..ann import (
 )
 from ..data.datasets import RecDataset
 from ..data.sequences import recent_window
-from ..models.base import InductiveUIModel
+from ..models.base import InductiveUIModel, history_coordinates
 from .cache import ServingCache, history_fingerprint, serve_batch
 
 __all__ = ["UserNeighborhoodComponent"]
@@ -142,6 +142,9 @@ class UserNeighborhoodComponent:
         # rows are overlaid at scoring time so a real-time update stream never
         # pays an O(num_users) rebuild per event.
         self._recent_overrides: Dict[int, np.ndarray] = {}
+        # (starts, counts, values) per user over the CSR with the overrides
+        # folded in; rebuilt lazily after any recent-items change.
+        self._recent_slices: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # Per-user embedding version counters: bumped by update_users/add_users
         # (and therefore by every RealTimeServer.observe), so serving caches
         # can validate anything derived from a user's state in O(1).
@@ -243,7 +246,35 @@ class UserNeighborhoodComponent:
             else np.empty(0, dtype=np.int64)
         )
         self._recent_overrides = {}
+        self._recent_slices = None
         self._recent_dirty = False
+
+    def _recent_item_slices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, counts, values)``: user ``u``'s recent items are
+        ``values[starts[u]:starts[u] + counts[u]]``, overrides included.
+
+        The overrides are appended after the CSR values and their users'
+        slices point there, so eq. 12 never branches on them.
+        """
+
+        self._ensure_recent_csr()
+        if self._recent_slices is None:
+            indptr = self._recent_indptr
+            built = len(indptr) - 1
+            starts = np.zeros(self.num_users, dtype=np.int64)
+            counts = np.zeros(self.num_users, dtype=np.int64)
+            starts[:built] = indptr[:-1]
+            counts[:built] = np.diff(indptr)
+            values = self._recent_indices
+            if self._recent_overrides:
+                users = np.fromiter(self._recent_overrides, dtype=np.int64)
+                chunks = list(self._recent_overrides.values())
+                sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+                starts[users] = len(values) + np.cumsum(sizes) - sizes
+                counts[users] = sizes
+                values = np.concatenate([values, *chunks])
+            self._recent_slices = (starts, counts, values)
+        return self._recent_slices
 
     # ------------------------------------------------------------------ #
     # neighborhood identification (eq. 11)
@@ -267,47 +298,39 @@ class UserNeighborhoodComponent:
     # ------------------------------------------------------------------ #
     # local scoring (eq. 12)
     # ------------------------------------------------------------------ #
-    def _scores_from_neighbors(
-        self, neighbor_ids: np.ndarray, similarities: np.ndarray
+    def _votes(self, neighborhoods: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Eq. (12) for a window: ``(B, num_items)`` similarity-weighted votes.
+
+        Every positive-similarity neighbor of every row contributes its
+        recent items through one flat gather, and one ``bincount`` over
+        ``row · num_items + item`` sums the votes of the whole window.
+        """
+
+        starts, counts, values = self._recent_item_slices()
+        num_rows = len(neighborhoods)
+        sizes = [len(ids) for ids, _ in neighborhoods]
+        if not num_rows or not sum(sizes):
+            return np.zeros((num_rows, self.num_items), dtype=np.float64)
+        neighbor_ids = np.concatenate([ids for ids, _ in neighborhoods]).astype(np.int64, copy=False)
+        weights = np.concatenate([sims for _, sims in neighborhoods]).astype(np.float64, copy=False)
+        rows = np.repeat(np.arange(num_rows), sizes)
+        positive = weights > 0
+        neighbor_ids, weights, rows = neighbor_ids[positive], weights[positive], rows[positive]
+        counts = counts[neighbor_ids]
+        items = _gather_slices(values, starts[neighbor_ids], counts)
+        cells = np.repeat(rows * self.num_items, counts) + items
+        return np.bincount(
+            cells, weights=np.repeat(weights, counts), minlength=num_rows * self.num_items
+        ).reshape(num_rows, self.num_items)
+
+    def _zero_excluded(
+        self, scores: np.ndarray, exclude_items: Sequence[Optional[Sequence[int]]]
     ) -> np.ndarray:
-        """Eq. (12) as one sparse product: gather recent-item rows, bincount votes."""
+        """Zero each row's excluded items (ids outside the catalog are ignored)."""
 
-        self._ensure_recent_csr()
-        positive = similarities > 0
-        neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)[positive]
-        weights = np.asarray(similarities, dtype=np.float64)[positive]
-        scores = np.zeros(self.num_items, dtype=np.float64)
-        if not len(neighbor_ids):
-            return scores
-
-        if self._recent_overrides:
-            overridden = np.asarray(
-                [int(user) in self._recent_overrides for user in neighbor_ids], dtype=bool
-            )
-            for user, weight in zip(neighbor_ids[overridden], weights[overridden]):
-                items = self._recent_overrides[int(user)]
-                if len(items):
-                    np.add.at(scores, items, weight)
-            neighbor_ids = neighbor_ids[~overridden]
-            weights = weights[~overridden]
-            if not len(neighbor_ids):
-                return scores
-
-        starts = self._recent_indptr[neighbor_ids]
-        counts = self._recent_indptr[neighbor_ids + 1] - starts
-        voted_items = _gather_slices(self._recent_indices, starts, counts)
-        if len(voted_items):
-            scores += np.bincount(
-                voted_items, weights=np.repeat(weights, counts), minlength=self.num_items
-            )
-        return scores
-
-    @staticmethod
-    def _zero_excluded(scores: np.ndarray, exclude_items: Optional[Iterable[int]]) -> np.ndarray:
-        if exclude_items is not None:
-            exclude_list = [item for item in exclude_items if 0 <= item < len(scores)]
-            if exclude_list:
-                scores[np.asarray(exclude_list, dtype=np.int64)] = 0.0
+        rows, items = history_coordinates([() if items is None else items for items in exclude_items])
+        inside = (items >= 0) & (items < scores.shape[1])
+        scores[rows[inside], items[inside]] = 0.0
         return scores
 
     def uu_scores(
@@ -319,9 +342,9 @@ class UserNeighborhoodComponent:
         """Similarity-weighted neighbor votes for every item in the catalog."""
 
         self._require_fitted()
-        neighbor_ids, similarities = self.neighbors(user_embedding, exclude_user)
-        scores = self._scores_from_neighbors(neighbor_ids, similarities)
-        return self._zero_excluded(scores, exclude_items)
+        scores = self._votes([self.neighbors(user_embedding, exclude_user)])
+        exclusions = None if exclude_items is None else list(exclude_items)
+        return self._zero_excluded(scores, [exclusions])[0]
 
     def score_for_user(
         self,
@@ -331,8 +354,8 @@ class UserNeighborhoodComponent:
     ) -> np.ndarray:
         """eq. (12) with the paper's convention of never re-recommending ``R⁺_u``."""
 
-        exclude_items = history if history is not None else self._recent_items.get(user_id, [])
-        return self.uu_scores(user_embedding, exclude_user=user_id, exclude_items=exclude_items)
+        embedding = np.asarray(user_embedding, dtype=np.float64)[None, :]
+        return self.score_for_users([user_id], user_embeddings=embedding, histories=[history])[0]
 
     def score_for_users(
         self,
@@ -344,10 +367,11 @@ class UserNeighborhoodComponent:
 
         Neighborhoods for the whole batch come from one ``search_batch`` call
         (a single query-matrix matmul on the default brute-force index), and
-        each user's eq. (12) is a gather + ``bincount``.  ``user_embeddings``
-        defaults to the fitted embeddings of ``user_ids``; ``histories``
-        optionally overrides the per-user exclusion lists exactly like the
-        ``history`` argument of :meth:`score_for_user`.
+        eq. (12) for the whole batch is one gather + ``bincount``.
+        ``user_embeddings`` defaults to the fitted embeddings of
+        ``user_ids``; ``histories`` optionally overrides the per-user
+        exclusion lists exactly like the ``history`` argument of
+        :meth:`score_for_user`.
         """
 
         self._require_fitted()
@@ -368,16 +392,13 @@ class UserNeighborhoodComponent:
         neighborhoods = self._batch_neighborhoods(
             user_ids, user_embeddings, histories, explicit_embeddings
         )
-
-        scores = np.zeros((len(user_ids), self.num_items), dtype=np.float64)
-        for row, (neighbor_ids, similarities) in enumerate(neighborhoods):
-            scores[row] = self._scores_from_neighbors(neighbor_ids, similarities)
-            if histories is not None and histories[row] is not None:
-                exclude_items: Iterable[int] = histories[row]
-            else:
-                exclude_items = self._recent_items.get(user_ids[row], [])
-            self._zero_excluded(scores[row], exclude_items)
-        return scores
+        exclusions = [
+            histories[row]
+            if histories is not None and histories[row] is not None
+            else self._recent_items.get(user, [])
+            for row, user in enumerate(user_ids)
+        ]
+        return self._zero_excluded(self._votes(neighborhoods), exclusions)
 
     def _batch_neighborhoods(
         self,
@@ -568,6 +589,7 @@ class UserNeighborhoodComponent:
         single-user path, applied per user in order.
         """
 
+        self._recent_slices = None
         for user, history in zip(user_ids, histories):
             recent = recent_window(list(history), self.recency_window)
             self._recent_items[user] = recent
@@ -695,6 +717,7 @@ class UserNeighborhoodComponent:
         self._recent_indices = None
         self._recent_dirty = True
         self._recent_overrides = {}
+        self._recent_slices = None
         self._user_versions = {
             int(user): int(version)
             for user, version in zip(arrays["version_users"], arrays["version_values"])

@@ -19,13 +19,20 @@ evaluation protocol.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence
+import itertools
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.datasets import RecDataset
 
-__all__ = ["Recommender", "InductiveUIModel", "exclude_seen_items"]
+__all__ = [
+    "Recommender",
+    "InductiveUIModel",
+    "exclude_seen_items",
+    "exclude_seen_rows",
+    "history_coordinates",
+]
 
 
 def exclude_seen_items(scores: np.ndarray, seen: Iterable[int]) -> np.ndarray:
@@ -35,10 +42,29 @@ def exclude_seen_items(scores: np.ndarray, seen: Iterable[int]) -> np.ndarray:
     so we do not recommend items in R⁺_u".
     """
 
+    return exclude_seen_rows(np.asarray(scores)[None, :], [list(seen)])[0]
+
+
+def history_coordinates(histories: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` of every entry of a window's histories, row-major.
+
+    ``scores[rows, items]`` then addresses each row's own history items in a
+    ``(B, num_items)`` matrix — one fancy-index write masks a whole window.
+    """
+
+    lengths = [len(history) for history in histories]
+    items = np.fromiter(
+        itertools.chain.from_iterable(histories), dtype=np.int64, count=sum(lengths)
+    )
+    return np.repeat(np.arange(len(histories)), lengths), items
+
+
+def exclude_seen_rows(scores: np.ndarray, histories: Sequence[Sequence[int]]) -> np.ndarray:
+    """:func:`exclude_seen_items` for a ``(B, num_items)`` window, one history per row."""
+
     masked = np.array(scores, dtype=np.float64, copy=True)
-    seen = list(seen)
-    if seen:
-        masked[np.asarray(seen, dtype=np.int64)] = -np.inf
+    rows, items = history_coordinates(histories)
+    masked[rows, items] = -np.inf
     return masked
 
 

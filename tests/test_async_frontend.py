@@ -165,7 +165,9 @@ class TestDeadlines:
         users = tiny_dataset.evaluation_users()[:4]
 
         async def burst():
-            async with AsyncFrontend(server, max_batch=4, max_wait_ms=20.0) as frontend:
+            # max_batch above the request count: the window cannot fill, so
+            # it waits out max_wait_ms before it is built.
+            async with AsyncFrontend(server, max_batch=8, max_wait_ms=20.0) as frontend:
                 # 0.01 ms expires during the window-build wait alone; every
                 # request short-circuits to [] and counts a miss
                 return await asyncio.gather(
@@ -317,7 +319,7 @@ class TestAdmissionValidation:
             (len(users), 0)
         )
         assert server.recommend(user, k=5, exclude_seen=False) == []
-        assert server._top_items(np.empty(0), 5) == []
+        assert server._rank_rows(np.empty((1, 0)), 5) == [[]]
 
 
 # --------------------------------------------------------------------- #
